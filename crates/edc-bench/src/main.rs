@@ -24,11 +24,11 @@
 use edc_bench::env::{ExperimentEnv, Platform};
 use edc_bench::experiments as ex;
 use edc_bench::{Harness, Table};
-use edc_core::error::EdcError;
 use edc_core::pipeline::{BatchWrite, EdcPipeline, PipelineConfig, PipelineStats};
 use edc_core::{
-    ManualClock, Op, OpOutput, Recorder, Replayer, Ring, RingConfig, RingStats, SelectorConfig,
-    ShardConfig, ShardedPipeline, StoreSpec, Ticket, TieredSeries,
+    cut_sweep, record_cut, CutReport, ManualClock, Op, OpOutput, Recorder, Replayer, Ring,
+    RingConfig, RingStats, SelectorConfig, ShardConfig, ShardedPipeline, Store, StoreSpec, Ticket,
+    TieredSeries,
 };
 use edc_flash::{
     FaultError, FaultPlan, IoKind, LossReason, RaisArray, RaisLevel, SsdConfig, SsdDevice,
@@ -1054,30 +1054,22 @@ fn heat_offset(rank: u64) -> u64 {
 /// One steady-state op in the heat bench: `(rank, is_write)`.
 type HeatOp = (u64, bool);
 
-/// The heat bench's write-path config: the ladder is pinned to its
+/// The heat bench's store shape: the ladder is pinned to its
 /// sustained-load rung (Lzf), which is what the elastic selector picks
 /// under the bench's steady 2000-IOPS traffic — and the regime in which
 /// recompression debt accumulates. The background pass upgrades whatever
 /// of it goes cold to the strong codec; the control arm is the identical
-/// write path with the pass never run (the "static ladder" outcome).
-fn heat_pipeline_config() -> PipelineConfig {
-    PipelineConfig {
-        selector: edc_core::selector::SelectorConfig {
-            rungs: vec![edc_core::LadderRung {
-                max_calc_iops: f64::INFINITY,
-                codec: edc_compress::CodecId::Lzf,
-            }],
-        },
-        // Cache sized past the working set: hot reads must be hits in
-        // BOTH arms, so the p99 gate isolates the cost of the background
-        // pass rather than cache sizing.
+/// write path with the pass never run (the "static ladder" outcome). The
+/// cache is sized past the working set: hot reads must be hits in BOTH
+/// arms, so the p99 gate isolates the cost of the background pass rather
+/// than cache sizing.
+fn heat_spec() -> StoreSpec {
+    StoreSpec {
+        capacity_bytes: 8 << 20,
         cache_runs: 512,
-        heat: edc_core::HeatConfig {
-            enabled: true,
-            half_life_ns: HEAT_HALF_LIFE_NS,
-            ..edc_core::HeatConfig::default()
-        },
-        ..PipelineConfig::default()
+        fast_ladder: true,
+        heat_half_life_ns: HEAT_HALF_LIFE_NS,
+        ..StoreSpec::default()
     }
 }
 
@@ -1144,7 +1136,7 @@ fn heat_drive(
         ShardConfig {
             shards: 4,
             extent_blocks: HEAT_SLOT_BLOCKS,
-            pipeline: heat_pipeline_config(),
+            pipeline: heat_spec().pipeline_config(),
         },
     );
     let mut arm = HeatArm {
@@ -1236,52 +1228,63 @@ fn p_ns(lat: &mut [u64], pct: usize) -> u64 {
     lat[lat.len() * pct / 100]
 }
 
-/// Power-cut sweep over a background recompression pass: learn the pass's
-/// page-program count from a clean run, then cut at every program index,
-/// recover, and verify every run reads back bit-exact. Returns
-/// `(cut_points, lost_blocks, payload_mismatches)`.
-fn heat_power_cut_sweep(smoke: bool) -> (u64, u64, u64) {
-    use edc_compress::CodecId;
-    let runs: u64 = if smoke { 6 } else { 16 };
-    let mk = || EdcPipeline::new(8 << 20, heat_pipeline_config());
-    let drive = |p: &mut EdcPipeline| {
-        let mut clock = 0u64;
-        for rank in 0..runs {
-            clock += HEAT_CLOCK_STEP_NS;
-            p.write(clock, heat_offset(rank), &heat_block(rank, 0)).expect("sweep write");
-        }
-        p.flush_all(clock + HEAT_CLOCK_STEP_NS).expect("sweep flush");
-        // Everything cools far past the threshold before the pass runs.
-        clock + 400 * HEAT_HALF_LIFE_NS
-    };
+/// The heat and dedup benches' power-cut workload for [`cut_sweep`]:
+/// `uniques` ranks plus `dups` copies of rank 0 (at ranks 8 and up),
+/// written and flushed, then a Deflate pass once everything has cooled
+/// far past the threshold (relocating any shared run), and a ledger
+/// cross-check.
+fn cut_ops(uniques: u64, dups: u64) -> Vec<(u64, Op)> {
+    let slots = (0..uniques).map(|r| (r, r)).chain((0..dups).map(|j| (8 + j, 0)));
+    let mut ops: Vec<(u64, Op)> = slots
+        .enumerate()
+        .map(|(i, (slot, rank))| {
+            let data = heat_block(rank, 0);
+            ((i as u64 + 1) * HEAT_CLOCK_STEP_NS, Op::Write { offset: heat_offset(slot), data })
+        })
+        .collect();
+    let flushed_at = (ops.len() as u64 + 1) * HEAT_CLOCK_STEP_NS;
+    let cold_at = flushed_at + 400 * HEAT_HALF_LIFE_NS;
+    let target = edc_compress::CodecId::Deflate;
+    ops.push((flushed_at, Op::Flush));
+    ops.push((cold_at, Op::RecompressPass { target, max_rewrites: u64::MAX }));
+    ops.push((cold_at, Op::VerifyDedup));
+    ops
+}
 
-    // Clean run: how many page programs does the pass itself issue?
-    let mut clean = mk();
-    let cold_at = drive(&mut clean);
-    let before = clean.stats().programs;
-    clean.recompress_pass(cold_at, CodecId::Deflate, usize::MAX).expect("clean pass");
-    let pass_programs = clean.stats().programs - before;
+/// Publish a bench's power-cut gate metrics, then its verdict (see
+/// [`cut_sweep_verdict`]).
+fn power_cut_gate(h: &mut Harness, name: &str, report: &CutReport, out_dir: &Path) -> u64 {
+    h.metric("power_cut_points", report.cut_points as f64);
+    h.metric("power_cut_lost_blocks", report.lost_blocks as f64);
+    h.metric("power_cut_payload_mismatches", report.payload_mismatches as f64);
+    cut_sweep_verdict(report, name, out_dir)
+}
 
-    let (mut lost, mut mismatches) = (0u64, 0u64);
-    for cut in 0..pass_programs {
-        let mut p = mk();
-        let cold_at = drive(&mut p);
-        p.set_fault_plan(FaultPlan {
-            power_cut_after_programs: Some(cut),
-            ..FaultPlan::none()
-        });
-        // The cut aborts the pass mid-flight; that is the point.
-        let _ = p.recompress_pass(cold_at, CodecId::Deflate, usize::MAX);
-        let report = p.recover().expect("recovery after cut");
-        mismatches += report.payload_mismatches;
-        for rank in 0..runs {
-            match p.read(1 << 40, heat_offset(rank), HEAT_RUN_BLOCKS * 4096) {
-                Ok(got) if got == heat_block(rank, 0) => {}
-                _ => lost += 1,
-            }
-        }
+/// Log a [`cut_sweep`] report; on a failure, print why and save the
+/// first failing run's log under `<out_dir>/crashers/` (best-effort:
+/// artifact I/O never masks the failure). Returns the number of gate
+/// failures (0 or 1).
+fn cut_sweep_verdict(report: &CutReport, name: &str, out_dir: &Path) -> u64 {
+    eprintln!(
+        "# {name} power-cut sweep: {} cut points, {} blocks checked, {} lost, {} payload \
+         mismatch(es), {} failing run(s)",
+        report.cut_points,
+        report.blocks_checked,
+        report.lost_blocks,
+        report.payload_mismatches,
+        report.failures
+    );
+    let Some(f) = &report.first_failure else { return 0 };
+    for reason in &f.reasons {
+        eprintln!("# FAIL: {name} cut {}: {reason}", f.k);
     }
-    (pass_programs, lost, mismatches)
+    let dir = out_dir.join("crashers");
+    let path = dir.join(format!("{name}_cut_{}.edcrr", f.k));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &f.log)) {
+        Ok(()) => eprintln!("# crash artifact: `edc-bench replay {}`", path.display()),
+        Err(e) => eprintln!("# warn: cannot save {}: {e}", path.display()),
+    }
+    1
 }
 
 /// Heat-aware background recompression benchmark: a seeded Zipfian
@@ -1432,7 +1435,7 @@ fn bench_heat(smoke: bool, out_dir: &Path) {
         "recompress_cold_store",
         Some(cold_runs * HEAT_RUN_BLOCKS * 4096),
         || {
-            let mut p = EdcPipeline::new(64 << 20, heat_pipeline_config());
+            let mut p = EdcPipeline::new(64 << 20, heat_spec().pipeline_config());
             let mut clock = 0u64;
             for rank in 0..cold_runs {
                 clock += HEAT_CLOCK_STEP_NS;
@@ -1447,19 +1450,12 @@ fn bench_heat(smoke: bool, out_dir: &Path) {
         },
     );
 
-    // Gate 3: a power cut anywhere inside the pass loses nothing.
-    let (cut_points, lost, mismatches) = heat_power_cut_sweep(smoke);
-    h.metric("power_cut_points", cut_points as f64);
-    h.metric("power_cut_lost_blocks", lost as f64);
-    h.metric("power_cut_payload_mismatches", mismatches as f64);
-    eprintln!(
-        "# power-cut sweep: {cut_points} cut points across the pass, {lost} lost block(s), \
-         {mismatches} payload mismatch(es)"
-    );
-    if lost > 0 || mismatches > 0 {
-        eprintln!("# FAIL: power-cut sweep across the recompression pass lost data");
-        failures += 1;
-    }
+    // Gate 3: a power cut anywhere in the writes or the pass loses
+    // nothing.
+    let cuts = cut_sweep(&heat_spec(), &cut_ops(if smoke { 6 } else { 16 }, 0))
+        .expect("heat cut workload is sweepable");
+    failures += power_cut_gate(&mut h, "heat", &cuts, out_dir);
+    let cut_points = cuts.cut_points;
 
     print!("{}", h.render());
     let path = h.write_json(out_dir).expect("writing BENCH_heat.json");
@@ -1470,7 +1466,7 @@ fn bench_heat(smoke: bool, out_dir: &Path) {
     }
     eprintln!(
         "# heat bench passed: {:.1}% space saved at {p99_ratio:.3}x p99, zero data loss \
-         across {cut_points} mid-pass power cuts",
+         across {cut_points} power cuts",
         saving * 100.0
     );
 }
@@ -1481,112 +1477,6 @@ fn dedup_bench_config(dedup_on: bool) -> PipelineConfig {
     let mut cfg = PipelineConfig::default();
     cfg.dedup.enabled = dedup_on;
     cfg
-}
-
-/// Power-cut sweep across the dedup write path and a shared-run
-/// relocation: learn the total page-program count from a clean run
-/// (unique writes, then dedup-hit writes sharing the first run, then a
-/// cooled recompression pass that relocates the shared run), cut at
-/// every program index, recover, and check nothing committed is lost.
-/// Within a drain runs commit in write order, so a zero-filled slot
-/// *below* the highest committed slot is a loss, not an uncommitted
-/// write. Returns `(cut_points, lost_blocks, payload_mismatches)`.
-fn dedup_power_cut_sweep(smoke: bool) -> (u64, u64, u64) {
-    use edc_compress::CodecId;
-    let uniques: u64 = if smoke { 2 } else { 4 };
-    let dups: u64 = if smoke { 2 } else { 3 };
-    let slots = uniques + dups;
-    let run_blocks: u64 = 4;
-    let step = 2_000_000u64;
-    // Each slot is a 4-block (16 KiB) run — big enough that a cooled
-    // Deflate rewrite reclaims whole pages — placed 8 blocks apart so the
-    // sequentiality detector never merges neighbouring slots. Duplicate
-    // slots repeat unique 0's payload from block 64 up; the seeded
-    // chunker cuts identical payloads identically, so every duplicate
-    // chunk shares unique 0's stored run(s).
-    // ACGT noise, as in [`heat_block`]: Lzf finds no matches and keeps it
-    // ~raw, Deflate's entropy coder quarters it — so the cooled pass has
-    // whole pages to reclaim per run.
-    let expect = |s: u64| -> Vec<u8> {
-        let src = if s < uniques { s } else { 0 };
-        let mut x = edc_datagen::rng::splitmix64(src.wrapping_mul(0x9E37_79B9).wrapping_add(7)) | 1;
-        (0..run_blocks * 4096)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                b"acgt"[((x >> 60) & 3) as usize]
-            })
-            .collect()
-    };
-    let offset = |s: u64| if s < uniques { s * 8 * 4096 } else { (64 + (s - uniques) * 8) * 4096 };
-    // Pin the write-path ladder to Lzf (as the heat bench does) so the
-    // cooled Deflate pass has a tier to move the shared run up to.
-    let mk = || {
-        let mut cfg = heat_pipeline_config();
-        cfg.dedup.enabled = true;
-        EdcPipeline::new(8 << 20, cfg)
-    };
-    let drive = |p: &mut EdcPipeline| -> u64 {
-        let mut clock = 0u64;
-        for s in 0..slots {
-            clock += step;
-            // Cut runs abort mid-write; that is the point.
-            let _ = p.write(clock, offset(s), &expect(s));
-        }
-        let _ = p.flush_all(clock + step);
-        // Everything cools far past the threshold before the pass runs.
-        clock + 400 * 1_000_000_000
-    };
-
-    // Clean run: how many page programs does the whole sequence issue,
-    // and does it actually exercise a shared-run relocation?
-    let mut clean = mk();
-    let cold_at = drive(&mut clean);
-    let pass = clean.recompress_pass(cold_at, CodecId::Deflate, usize::MAX).expect("clean pass");
-    assert!(pass.recompressed > 0, "sweep must exercise a relocation: {pass:?}");
-    let ledger = clean.verify_dedup().expect("clean ledger");
-    assert!(ledger.shared_runs >= 1, "sweep must relocate a *shared* run: {ledger:?}");
-    let total_programs = clean.stats().programs;
-
-    let (mut lost, mut mismatches) = (0u64, 0u64);
-    for cut in 0..total_programs {
-        let mut p = mk();
-        p.set_fault_plan(FaultPlan {
-            power_cut_after_programs: Some(cut),
-            ..FaultPlan::none()
-        });
-        let cold_at = drive(&mut p);
-        let _ = p.recompress_pass(cold_at, CodecId::Deflate, usize::MAX);
-        let report = p.recover().expect("recovery after cut");
-        mismatches += report.payload_mismatches;
-        p.verify_dedup().expect("refcount ledger cross-check after recovery");
-        let now = cold_at + step;
-        // Per 4 KiB block: 0 = reads back committed content, 1 = still
-        // zero-filled (its chunk's commit never happened), 2 = torn or
-        // unreadable. Chunks commit in write order, so committed blocks
-        // form a prefix of the written sequence.
-        let mut states = Vec::with_capacity((slots * run_blocks) as usize);
-        for s in 0..slots {
-            let want = expect(s);
-            for k in 0..run_blocks {
-                let lo = (k * 4096) as usize;
-                states.push(match p.read(now, offset(s) + k * 4096, 4096) {
-                    Ok(got) if got[..] == want[lo..lo + 4096] => 0u8,
-                    Ok(got) if got.iter().all(|&b| b == 0) => 1,
-                    _ => 2,
-                });
-            }
-        }
-        let last_committed = states.iter().rposition(|&st| st == 0);
-        for (s, &st) in states.iter().enumerate() {
-            let uncommitted_tail = st == 1 && Some(s) > last_committed;
-            if st != 0 && !uncommitted_tail {
-                lost += 1;
-            }
-        }
-    }
-    (total_programs, lost, mismatches)
 }
 
 /// Content-defined dedup front-end benchmark: two seeded block streams
@@ -1802,19 +1692,20 @@ fn bench_dedup(smoke: bool, out_dir: &Path) {
     }
 
     // Gate 4: a power cut anywhere through the dedup-hit write path or
-    // the shared-run relocation loses nothing committed.
-    let (cut_points, lost, mismatches) = dedup_power_cut_sweep(smoke);
-    h.metric("power_cut_points", cut_points as f64);
-    h.metric("power_cut_lost_blocks", lost as f64);
-    h.metric("power_cut_payload_mismatches", mismatches as f64);
-    eprintln!(
-        "# power-cut sweep: {cut_points} cut points across dedup writes + relocation, \
-         {lost} lost block(s), {mismatches} payload mismatch(es)"
-    );
-    if lost > 0 || mismatches > 0 {
-        eprintln!("# FAIL: power-cut sweep across the dedup write path lost data");
-        failures += 1;
+    // the shared-run relocation loses nothing committed. The write path
+    // is pinned to Lzf (as in the heat bench) so the cooled Deflate pass
+    // has a tier to move the shared run up to.
+    let spec = StoreSpec { dedup: true, ..heat_spec() };
+    let ops = if smoke { cut_ops(2, 2) } else { cut_ops(4, 3) };
+    let cuts = cut_sweep(&spec, &ops).expect("dedup cut workload is sweepable");
+    let n = cuts.clean.len();
+    match (&cuts.clean[n - 2], &cuts.clean[n - 1]) {
+        (OpOutput::Recompress(pass), OpOutput::Dedup(ledger))
+            if pass.recompressed > 0 && ledger.shared_runs >= 1 => {}
+        other => panic!("the sweep must relocate a shared run: {other:?}"),
     }
+    failures += power_cut_gate(&mut h, "dedup", &cuts, out_dir);
+    let cut_points = cuts.cut_points;
 
     print!("{}", h.render());
     let path = h.write_json(out_dir).expect("writing BENCH_dedup.json");
@@ -2008,213 +1899,120 @@ fn campaign_noise_block(seed: u64) -> Vec<u8> {
         .collect()
 }
 
-/// One expected run in the fault campaign: `(offset, old_data, new_data)`.
-type CampaignRun = (u64, Option<Vec<u8>>, Vec<u8>);
-
-/// The campaign's pipeline workload: `runs` two-block runs (every fourth
-/// incompressible), one overwrite at the end. Returns the expected final
-/// contents as `(offset, old_data, new_data)` — `old_data` differs from
-/// `new_data` only for the overwritten range, so crash verification can
-/// accept either committed version.
-fn campaign_drive(p: &mut EdcPipeline, runs: u64) -> Result<Vec<CampaignRun>, EdcError> {
-    let mut expect: Vec<CampaignRun> = Vec::new();
-    for i in 0..runs {
-        let mut data = if i % 4 == 3 {
-            campaign_noise_block(i * 977 + 13)
-        } else {
-            campaign_text_block(i)
-        };
-        data.extend(campaign_text_block(i + 1000));
-        // Stride 3 leaves gaps so runs never merge with each other.
-        let offset = (i * 3) * 4096;
-        p.write(i, offset, &data)?;
-        expect.push((offset, None, data));
-    }
-    p.flush_all(runs)?;
-    // Overwrite the first run: crash verification must accept v1 or v2.
+/// The fault and scrub campaigns' workload as an op log: `runs`
+/// two-block runs (every fourth incompressible) and a flush, then an
+/// overwrite of the first run and a second flush.
+fn campaign_ops(runs: u64) -> Vec<(u64, Op)> {
+    let mut ops: Vec<(u64, Op)> = (0..runs)
+        .map(|i| {
+            let mut data = if i % 4 == 3 {
+                campaign_noise_block(i * 977 + 13)
+            } else {
+                campaign_text_block(i)
+            };
+            data.extend(campaign_text_block(i + 1000));
+            // Stride 3 leaves gaps so runs never merge with each other.
+            (i, Op::Write { offset: (i * 3) * 4096, data })
+        })
+        .collect();
+    ops.push((runs, Op::Flush));
     let mut v2 = campaign_text_block(7777);
     v2.extend(campaign_text_block(8888));
-    p.write(runs + 10, 0, &v2)?;
-    p.flush_all(runs + 20)?;
-    let old = std::mem::replace(&mut expect[0].2, v2);
-    expect[0].1 = Some(old);
-    Ok(expect)
+    ops.push((runs + 10, Op::Write { offset: 0, data: v2 }));
+    ops.push((runs + 20, Op::Flush));
+    ops
 }
 
-/// Verify post-recovery contents block by block. Every block must read as
-/// its expected data, its pre-overwrite data, or all zeroes (run never
-/// committed) — anything else is data loss. Returns (verified, lost).
-fn campaign_verify(
-    p: &mut EdcPipeline,
-    expect: &[CampaignRun],
-) -> (u64, u64) {
-    let zero = vec![0u8; 4096];
+/// Drive [`campaign_ops`] into `p`; returns the final `(offset, data)`
+/// contents.
+fn campaign_drive(p: &mut EdcPipeline, runs: u64) -> Vec<(u64, Vec<u8>)> {
+    let mut expect: Vec<(u64, Vec<u8>)> = Vec::new();
+    for (now, op) in campaign_ops(runs) {
+        if let OpOutput::Err(e) = p.dispatch(now, &op) {
+            panic!("clean drive cannot fault: {e}");
+        }
+        if let Op::Write { offset, data } = op {
+            expect.retain(|(o, _)| *o != offset);
+            expect.push((offset, data));
+        }
+    }
+    expect
+}
+
+/// Read back every block of `expect`; returns (verified, lost).
+fn campaign_verify(p: &mut EdcPipeline, expect: &[(u64, Vec<u8>)]) -> (u64, u64) {
     let (mut verified, mut lost) = (0u64, 0u64);
-    for (off, old, data) in expect {
-        for b in 0..(data.len() / 4096) as u64 {
-            let at = off + b * 4096;
-            let got = match p.read(1 << 40, at, 4096) {
-                Ok(g) => g,
-                Err(_) => {
-                    lost += 1;
-                    continue;
-                }
-            };
-            let lo = (b * 4096) as usize;
-            let want = &data[lo..lo + 4096];
-            let want_old = old.as_ref().map(|o| &o[lo..lo + 4096]);
-            if got == want || got == zero || want_old.is_some_and(|w| got == w) {
-                verified += 1;
-            } else {
-                lost += 1;
+    for (off, data) in expect {
+        for (b, want) in data.chunks(4096).enumerate() {
+            match p.read(1 << 40, off + b as u64 * 4096, 4096) {
+                Ok(got) if got == want => verified += 1,
+                _ => lost += 1,
             }
         }
     }
     (verified, lost)
 }
 
-/// Fault-injection campaign: sweep a simulated power cut across every
-/// page-program index of a pipeline workload (recovering and verifying
-/// after each), then drive the raw SSD simulator through a fault-rate
-/// matrix. Writes `BENCH_faults.json`; exits non-zero if any journaled
-/// run loses data, or if any fault fires at zero fault rate.
+/// Fault-injection campaign: [`cut_sweep`] a power cut across every
+/// page-program index of the campaign workload (recovering and checking
+/// every block after each), then drive the raw SSD simulator through a
+/// fault-rate matrix. Writes `BENCH_faults.json`; exits non-zero if any
+/// cut breaks the crash oracle, or if any fault fires at zero fault rate.
 fn fault_campaign(smoke: bool, out_dir: &Path) {
     let runs: u64 = if smoke { 10 } else { 48 };
     let samples = if smoke { 3 } else { 5 };
-    let mk = || EdcPipeline::new(8 << 20, PipelineConfig::default());
+    let spec = StoreSpec { capacity_bytes: 8 << 20, ..StoreSpec::default() };
+    let mut ops = campaign_ops(runs);
+    ops.push((runs + 30, Op::Stats));
     let mut h = Harness::new("faults", samples);
     let mut failures = 0u64;
 
-    // Baseline: zero fault rate must mean zero faults and zero loss.
-    let mut clean = mk();
-    let expect = campaign_drive(&mut clean, runs).expect("clean run cannot fault");
-    let total_programs = clean.stats().programs;
-    let committed_runs = clean.stats().journal_records;
-    let (clean_verified, clean_lost) = campaign_verify(&mut clean, &expect);
-    let stats = clean.fault_stats();
-    let clean_faults = stats.read_faults
-        + stats.program_faults
-        + stats.erase_faults
-        + stats.rot_pages
-        + stats.power_cuts;
-    if clean_lost > 0 || clean_faults > 0 {
-        eprintln!("# FAIL: zero fault rate produced loss={clean_lost} faults={clean_faults}");
-        failures += 1;
-    }
-    eprintln!(
-        "# clean run: {committed_runs} journaled runs, {total_programs} page programs, \
-         {clean_verified} blocks verified"
-    );
+    // Power-cut sweep: cut at EVERY page-program index, recover, check.
+    let report = cut_sweep(&spec, &ops).expect("campaign workload is sweepable");
+    let Some(OpOutput::Stats(clean)) = report.clean.last() else {
+        panic!("campaign log ends in a stats op");
+    };
+    let (committed_runs, total_programs) = (clean.journal_records, clean.programs);
+    eprintln!("# clean run: {committed_runs} journaled runs, {total_programs} page programs");
+    failures += cut_sweep_verdict(&report, "fault", out_dir);
+    let cuts = report.cut_points;
 
-    // Power-cut sweep: cut at EVERY page-program index, recover, verify.
-    let mut cuts = 0u64;
-    let mut recover_failures = 0u64;
-    let mut payload_mismatches = 0u64;
-    let mut replayed_total = 0u64;
-    let mut lost_total = 0u64;
-    let mut verified_total = 0u64;
-    let mut recovery_ns_sum = 0u128;
-    let mut recovery_ns_max = 0u128;
-    for cut in 0..total_programs {
-        let mut p = mk();
-        p.set_fault_plan(FaultPlan {
-            power_cut_after_programs: Some(cut),
-            ..FaultPlan::none()
-        });
-        match campaign_drive(&mut p, runs) {
-            Err(EdcError::Write(edc_core::error::WriteError::PowerCut { .. })) => {}
-            other => {
-                eprintln!("# FAIL: cut {cut} did not surface as PowerCut ({other:?})");
-                save_crash_artifact(&campaign_artifact(cut, runs), out_dir, &format!("fault_cut_{cut}.edcrr"));
-                failures += 1;
-                continue;
-            }
-        }
-        let t0 = Instant::now();
-        let report = match p.recover() {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("# FAIL: recovery after cut {cut}: {e}");
-                save_crash_artifact(&campaign_artifact(cut, runs), out_dir, &format!("fault_cut_{cut}.edcrr"));
-                recover_failures += 1;
-                failures += 1;
-                continue;
-            }
-        };
-        let dt = t0.elapsed().as_nanos();
-        recovery_ns_sum += dt;
-        recovery_ns_max = recovery_ns_max.max(dt);
-        payload_mismatches += report.payload_mismatches;
-        replayed_total += report.replayed_runs;
-        let (v, l) = campaign_verify(&mut p, &expect);
-        verified_total += v;
-        lost_total += l;
-        // A cut that lost data (or recovered mismatched payloads) becomes
-        // a replayable `.edcrr` artifact: the same schedule re-driven
-        // through a Recorder, so the failure is pinned as a golden log
-        // that `edc-bench replay` re-executes bit-exactly.
-        if l > 0 || report.payload_mismatches > 0 {
-            save_crash_artifact(&campaign_artifact(cut, runs), out_dir, &format!("fault_cut_{cut}.edcrr"));
-        }
-        cuts += 1;
-    }
-    if lost_total > 0 || payload_mismatches > 0 {
-        eprintln!(
-            "# FAIL: power-cut sweep lost {lost_total} blocks, \
-             {payload_mismatches} payload mismatches"
-        );
-        failures += 1;
-    }
-    eprintln!(
-        "# power-cut sweep: {cuts} cut points, {replayed_total} runs replayed, \
-         {verified_total} blocks verified, {lost_total} lost"
-    );
-
-    // Timed recovery at the midpoint cut (the representative case).
-    let mid = total_programs / 2;
+    // The midpoint cut, recorded: its log must replay bit-exactly (so
+    // the capture path is exercised on every campaign run, not only when
+    // something already went wrong), and its recovery is timed.
+    let log = record_cut(&spec, &ops, total_programs / 2).expect("campaign log records");
+    let mid = edc_core::parse_edcrr(&log).expect("recorded log parses");
+    let recover_at = mid.records.iter().position(|r| r.op == Op::Recover).expect("a recovery");
     h.run_prepared(
         "recover_after_midpoint_cut",
         None,
         || {
-            let mut p = mk();
-            p.set_fault_plan(FaultPlan {
-                power_cut_after_programs: Some(mid),
-                ..FaultPlan::none()
-            });
-            let _ = campaign_drive(&mut p, runs);
-            p
+            let mut store = mid.spec.build();
+            for r in &mid.records[..recover_at] {
+                store.dispatch(r.now_ns, &r.op);
+            }
+            store
         },
-        |mut p| {
-            let report = p.recover().expect("recovery");
-            (report.replayed_runs, p)
+        |mut store| match store.dispatch(0, &Op::Recover) {
+            OpOutput::Recovery(r) => (r.replayed_runs, store),
+            other => panic!("recovery after the midpoint cut: {other:?}"),
         },
     );
-
-    // Record/replay gate, on by default: the midpoint-cut schedule is
-    // re-driven through a Recorder and the log replayed against a fresh
-    // store, so the capture path is exercised on every campaign run —
-    // not only on the runs where something already went wrong.
-    let rec = campaign_artifact(mid, runs);
-    h.metric("recorded_ops_midpoint_cut", rec.ops() as f64);
-    h.metric("recorded_log_bytes_midpoint_cut", rec.bytes().len() as f64);
-    match Replayer::replay(rec.bytes()) {
-        Ok(report) if report.is_exact() => eprintln!(
-            "# record/replay: midpoint-cut log ({} ops, {} bytes) replays bit-exactly",
-            report.ops,
-            rec.bytes().len()
-        ),
-        Ok(report) => {
-            for d in &report.divergences {
-                eprintln!("# FAIL: record/replay: {d}");
-            }
-            eprintln!("# FAIL: midpoint-cut record/replay diverged");
-            failures += 1;
-        }
-        Err(e) => {
-            eprintln!("# FAIL: midpoint-cut log does not parse: {e}");
-            failures += 1;
-        }
+    h.metric("recorded_ops_midpoint_cut", mid.records.len() as f64);
+    h.metric("recorded_log_bytes_midpoint_cut", log.len() as f64);
+    let replay = Replayer::replay_against(mid.spec.build().as_mut(), &mid);
+    for d in &replay.divergences {
+        eprintln!("# FAIL: midpoint-cut record/replay: {d}");
     }
+    if !replay.is_exact() {
+        failures += 1;
+    }
+    eprintln!(
+        "# record/replay: midpoint-cut log ({} ops, {} bytes), {} divergence(s)",
+        replay.ops,
+        log.len(),
+        replay.divergences.len()
+    );
 
     // Device-level matrix: transient/program/erase fault rates against the
     // raw SSD simulator, with a power cycle and an FTL integrity audit at
@@ -2284,19 +2082,17 @@ fn fault_campaign(smoke: bool, out_dir: &Path) {
     h.metric("cut_points", cuts as f64);
     h.metric("committed_runs_clean", committed_runs as f64);
     h.metric("page_programs_clean", total_programs as f64);
-    h.metric("recovered_runs_total", replayed_total as f64);
-    h.metric("recovered_cuts_pct", if total_programs == 0 { 100.0 } else {
-        100.0 * (total_programs - recover_failures) as f64 / total_programs as f64
+    h.metric("recovered_runs_total", report.recovered_runs as f64);
+    h.metric("recovered_cuts_pct", if cuts == 0 { 100.0 } else {
+        100.0 * cuts.saturating_sub(report.failures) as f64 / cuts as f64
     });
-    h.metric("data_loss_blocks", lost_total as f64);
-    h.metric("data_loss_pct", if verified_total + lost_total == 0 { 0.0 } else {
-        100.0 * lost_total as f64 / (verified_total + lost_total) as f64
+    h.metric("data_loss_blocks", report.lost_blocks as f64);
+    h.metric("data_loss_pct", if report.blocks_checked == 0 { 0.0 } else {
+        100.0 * report.lost_blocks as f64 / report.blocks_checked as f64
     });
-    h.metric("payload_mismatches", payload_mismatches as f64);
-    h.metric("recovery_ns_mean", if cuts == 0 { 0.0 } else {
-        (recovery_ns_sum / u128::from(cuts)) as f64
-    });
-    h.metric("recovery_ns_max", recovery_ns_max as f64);
+    h.metric("payload_mismatches", report.payload_mismatches as f64);
+    h.metric("recovery_ns_mean", report.recovery_ns_sum.checked_div(cuts).unwrap_or(0) as f64);
+    h.metric("recovery_ns_max", report.recovery_ns_max as f64);
 
     print!("{}", h.render());
     let path = h.write_json(out_dir).expect("writing BENCH_faults.json");
@@ -2375,7 +2171,7 @@ fn scrub_campaign(smoke: bool, out_dir: &Path) {
 
     for &rate in rates {
         let mut p = mk();
-        let expect = campaign_drive(&mut p, runs).expect("clean drive cannot fault");
+        let expect = campaign_drive(&mut p, runs);
         p.set_fault_plan(FaultPlan {
             seed: 0xEDC4 + (rate * 100.0) as u64,
             bit_rot_rate: rate,
@@ -2425,7 +2221,7 @@ fn scrub_campaign(smoke: bool, out_dir: &Path) {
     // the runs scrub unrecoverable. Demonstrates the parity page is what
     // buys the repair, not the scrub walk itself.
     let mut bare = EdcPipeline::new(8 << 20, PipelineConfig::default());
-    let expect = campaign_drive(&mut bare, runs).expect("clean drive cannot fault");
+    let expect = campaign_drive(&mut bare, runs);
     bare.set_fault_plan(FaultPlan { seed: 0xEDC5, bit_rot_rate: 1.0, ..FaultPlan::none() });
     let control = bare.scrub().expect("scrub without parity");
     bare.set_fault_plan(FaultPlan::none());
@@ -2447,7 +2243,7 @@ fn scrub_campaign(smoke: bool, out_dir: &Path) {
         None,
         || {
             let mut p = mk();
-            campaign_drive(&mut p, runs).expect("clean drive cannot fault");
+            campaign_drive(&mut p, runs);
             p.set_fault_plan(FaultPlan { seed: 0xEDC6, bit_rot_rate: 1.0, ..FaultPlan::none() });
             p
         },
@@ -2940,68 +2736,6 @@ fn rais_campaign(smoke: bool, out_dir: &Path) {
         "# rais campaign passed: zero unrepaired loss across the kill x rot sweep, \
          compressed parity below control, trend intact on the rebuilt array"
     );
-}
-
-/// Re-record the fault campaign's schedule for one power-cut point as a
-/// self-contained `.edcrr` artifact: the same writes/overwrite/flushes,
-/// then recovery and a full read-back sweep, all dispatched through a
-/// [`Recorder`] against a store whose spec arms the cut. The saved log
-/// replays bit-exactly with `edc-bench replay` — and starts diverging
-/// the moment the engine's behaviour at that cut point changes.
-fn campaign_artifact(cut: u64, runs: u64) -> Recorder {
-    let spec = StoreSpec {
-        capacity_bytes: 8 << 20,
-        shards: 0,
-        fault: FaultPlan { power_cut_after_programs: Some(cut), ..FaultPlan::none() },
-        ..StoreSpec::default()
-    };
-    let mut store = spec.build();
-    let mut rec = Recorder::new(spec);
-    let mut clock = ManualClock::new(0, 1);
-    let mut ops: Vec<Op> = Vec::new();
-    for i in 0..runs {
-        let mut data = if i % 4 == 3 {
-            campaign_noise_block(i * 977 + 13)
-        } else {
-            campaign_text_block(i)
-        };
-        data.extend(campaign_text_block(i + 1000));
-        ops.push(Op::Write { offset: (i * 3) * 4096, data });
-    }
-    ops.push(Op::Flush);
-    let mut v2 = campaign_text_block(7777);
-    v2.extend(campaign_text_block(8888));
-    ops.push(Op::Write { offset: 0, data: v2 });
-    ops.push(Op::Flush);
-    ops.push(Op::Recover);
-    for i in 0..runs {
-        ops.push(Op::Read { offset: (i * 3) * 4096, len: 2 * 4096 });
-    }
-    ops.push(Op::Stats);
-    for op in &ops {
-        rec.apply(store.as_mut(), &mut clock, op);
-    }
-    rec
-}
-
-/// Save a crash artifact under `<out_dir>/crashers/`, logging where it
-/// went (best-effort: artifact I/O must never mask the original failure).
-fn save_crash_artifact(rec: &Recorder, out_dir: &Path, name: &str) {
-    let dir = out_dir.join("crashers");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("# warn: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(name);
-    match rec.save(&path) {
-        Ok(()) => eprintln!(
-            "# crash artifact: {} ({} ops; `edc-bench replay {}`)",
-            path.display(),
-            rec.ops(),
-            path.display()
-        ),
-        Err(e) => eprintln!("# warn: cannot save {}: {e}", path.display()),
-    }
 }
 
 /// `edc-bench replay <log.edcrr>...` — re-execute recorded op logs

@@ -47,7 +47,9 @@
 //! injects read faults, bit rot and power cuts; committed runs are
 //! journaled ([`journal::MappingJournal`]) so
 //! [`pipeline::EdcPipeline::recover`] rebuilds the mapping table after a
-//! crash with zero data loss for journaled runs.
+//! crash with zero data loss for journaled runs. [`crash::cut_sweep`]
+//! proves it for any op log: it cuts power at every page program and
+//! checks each block against the exact set of legal post-cut states.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,6 +58,7 @@ pub mod allocator;
 pub mod cache;
 pub mod clock;
 pub mod content;
+pub mod crash;
 pub mod dedup;
 pub mod error;
 pub mod feedback;
@@ -80,6 +83,7 @@ pub use allocator::{AllocPolicy, AllocStats, QuantizedAllocator};
 pub use cache::{CacheStats, RunCache};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use content::{CalibrationConfig, ContentModel};
+pub use crash::{cut_sweep, cut_sweep_log, record_cut, CutFailure, CutReport, CutSweepError};
 pub use dedup::{content_hash64, DedupConfig, DedupIndex, DedupReport};
 pub use error::{EdcError, WriteError};
 pub use feedback::{FeedbackConfig, FeedbackSelector};

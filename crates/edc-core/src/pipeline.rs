@@ -1881,14 +1881,6 @@ impl EdcPipeline {
         self.faults.stats()
     }
 
-    /// Cumulative page programs — the power-cut clock position. A
-    /// campaign learns a workload's program count from a clean run, then
-    /// sweeps `power_cut_after_programs` across `0..stats().programs`.
-    #[deprecated(since = "0.7.0", note = "use `stats().programs`")]
-    pub fn programs(&self) -> u64 {
-        self.faults.programs()
-    }
-
     /// Whether the (simulated) store currently has power.
     pub fn powered(&self) -> bool {
         self.faults.powered()
@@ -1902,70 +1894,24 @@ impl EdcPipeline {
         self.faults.cut_power();
     }
 
-    /// Reads served raw despite a checksum mismatch (only possible with
-    /// [`FaultPlan::allow_degraded_reads`]).
-    #[deprecated(since = "0.7.0", note = "use `stats().degraded_reads`")]
-    pub fn degraded_reads(&self) -> u64 {
-        self.degraded_reads
-    }
-
-    /// Committed runs journaled so far.
-    #[deprecated(since = "0.7.0", note = "use `stats().journal_records`")]
-    pub fn journal_records(&self) -> u64 {
-        self.journal.records()
-    }
-
-    /// Journal size in bytes.
-    #[deprecated(since = "0.7.0", note = "use `stats().journal_bytes`")]
-    pub fn journal_bytes(&self) -> usize {
-        self.journal.len_bytes()
-    }
-
     /// Test hook: tear the journal to its first `bytes` bytes, simulating
     /// a cut mid-way through a journal page program.
     pub fn truncate_journal_bytes(&mut self, bytes: usize) {
         self.journal.truncate_bytes(bytes);
     }
 
-    /// Cumulative logical bytes accepted.
-    #[deprecated(since = "0.7.0", note = "use `stats().logical_written`")]
-    pub fn logical_written(&self) -> u64 {
-        self.logical_written
-    }
-
-    /// Cumulative flash bytes allocated.
-    #[deprecated(since = "0.7.0", note = "use `stats().physical_written`")]
-    pub fn physical_written(&self) -> u64 {
-        self.physical_written
-    }
-
     /// Current live on-flash footprint: the stored bytes (allocated quanta
     /// plus any parity page) of every live run. Unlike the cumulative
-    /// [`EdcPipeline::physical_written`], this shrinks when background
+    /// [`PipelineStats::physical_written`], this shrinks when background
     /// recompression or overwrites release space — it is the number the
     /// heat bench's space gate compares.
     pub fn live_stored_bytes(&self) -> u64 {
         self.map.live_runs().iter().map(|e| e.stored_bytes).sum()
     }
 
-    /// The paper's compression ratio over everything written so far.
-    #[deprecated(since = "0.7.0", note = "use `stats().compression_ratio()`")]
-    pub fn compression_ratio(&self) -> f64 {
-        if self.physical_written == 0 {
-            return 1.0;
-        }
-        self.logical_written as f64 / self.physical_written as f64
-    }
-
     /// Allocator statistics.
     pub fn alloc_stats(&self) -> AllocStats {
         self.allocator.stats()
-    }
-
-    /// Decompressed-run read-cache statistics (all zeroes when disabled).
-    #[deprecated(since = "0.7.0", note = "use `stats().cache`")]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// One consistent snapshot of every counter (the mapping figures come
@@ -2209,6 +2155,9 @@ fn fault_to_edc(e: FaultError) -> EdcError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash::cut_sweep;
+    use crate::record::StoreSpec;
+    use crate::store::{Op, OpOutput, Store};
 
     fn text_block(tag: u8) -> Vec<u8> {
         format!("block {tag} elastic compression pipeline content ")
@@ -2621,122 +2570,48 @@ mod tests {
         assert_eq!((s.hits, s.misses), (0, 0), "disabled cache records nothing");
     }
 
-    /// The smoke workload shared by the crash tests: a few merged runs, a
-    /// write-through run, and an overwrite. Returns (offset, data) pairs
-    /// describing the expected final contents.
-    fn crash_workload(p: &mut EdcPipeline) -> Vec<(u64, Vec<u8>)> {
-        let mut expect = Vec::new();
-        for i in 0..6u64 {
-            let data = text_block(i as u8);
-            p.write(i, (i * 3) * 4096, &data).unwrap();
-            expect.push(((i * 3) * 4096, data));
+    /// The smoke workload shared by the crash tests as an op log: a few
+    /// merged runs, a write-through run, and an overwrite after a flush.
+    fn crash_ops() -> Vec<(u64, Op)> {
+        let mut ops: Vec<(u64, Op)> = (0..6u64)
+            .map(|i| (i, Op::Write { offset: (i * 3) * 4096, data: text_block(i as u8) }))
+            .collect();
+        ops.push((10, Op::Write { offset: 40 * 4096, data: random_block(99) }));
+        ops.push((20, Op::Flush));
+        ops.push((30, Op::Write { offset: 0, data: text_block(200) }));
+        ops.push((40, Op::Flush));
+        ops
+    }
+
+    /// Dispatch `ops`, none of which may fail, and return the final
+    /// `(offset, data)` of every write, in first-write order.
+    fn drive(p: &mut EdcPipeline, ops: Vec<(u64, Op)>) -> Vec<(u64, Vec<u8>)> {
+        let mut expect: Vec<(u64, Vec<u8>)> = Vec::new();
+        for (now, op) in ops {
+            assert!(!matches!(p.dispatch(now, &op), OpOutput::Err(_)), "{op:?}");
+            if let Op::Write { offset, data } = op {
+                match expect.iter_mut().find(|(o, _)| *o == offset) {
+                    Some(slot) => slot.1 = data,
+                    None => expect.push((offset, data)),
+                }
+            }
         }
-        let rand = random_block(99);
-        p.write(10, 40 * 4096, &rand).unwrap();
-        expect.push((40 * 4096, rand));
-        p.flush_all(20).unwrap();
-        // Overwrite run 0 after the first flush.
-        let v2 = text_block(200);
-        p.write(30, 0, &v2).unwrap();
-        p.flush_all(40).unwrap();
-        expect[0] = (0, v2);
         expect
     }
 
     #[test]
     fn power_cut_at_every_program_recovers_with_zero_data_loss() {
-        // Learn the clean run's program count, then cut at every index.
-        let mut clean = pipeline();
-        crash_workload(&mut clean);
-        let total = clean.stats().programs;
-        assert!(total > 8, "workload too small to exercise cuts ({total})");
-        for cut in 0..total {
-            let mut p = pipeline();
-            p.set_fault_plan(FaultPlan {
-                power_cut_after_programs: Some(cut),
-                ..FaultPlan::none()
-            });
-            let mut cut_err = None;
-            let expect = {
-                // Drive the same workload; the cut surfaces as a typed
-                // error somewhere along the way.
-                let mut run = || -> Result<Vec<(u64, Vec<u8>)>, EdcError> {
-                    let mut expect = Vec::new();
-                    for i in 0..6u64 {
-                        let data = text_block(i as u8);
-                        p.write(i, (i * 3) * 4096, &data)?;
-                        expect.push(((i * 3) * 4096, data));
-                    }
-                    let rand = random_block(99);
-                    p.write(10, 40 * 4096, &rand)?;
-                    expect.push((40 * 4096, rand));
-                    p.flush_all(20)?;
-                    let v2 = text_block(200);
-                    p.write(30, 0, &v2)?;
-                    p.flush_all(40)?;
-                    expect[0] = (0, v2);
-                    Ok(expect)
-                };
-                match run() {
-                    Ok(e) => e,
-                    Err(e) => {
-                        cut_err = Some(e);
-                        Vec::new()
-                    }
-                }
-            };
-            assert!(
-                expect.is_empty(),
-                "cut {cut}/{total} must interrupt the workload"
-            );
-            assert!(
-                matches!(cut_err, Some(EdcError::Write(WriteError::PowerCut { .. }))),
-                "cut {cut}: expected PowerCut, got {cut_err:?}"
-            );
-            // Store is offline until recovery.
-            assert!(matches!(p.read(50, 0, 4096), Err(ReadError::Offline)));
-            assert!(matches!(
-                p.write(50, 0, &text_block(0)),
-                Err(EdcError::Write(WriteError::Offline))
-            ));
-            let report = p.recover().expect("recovery succeeds at any cut point");
-            assert_eq!(
-                report.payload_mismatches, 0,
-                "cut {cut}: journaled runs must never lose payload"
-            );
-            assert!(!report.torn_tail, "commit-record granularity leaves no torn tail");
-            // Every journaled run reads back exactly; blocks whose run
-            // missed its commit read as never-written (zero) or their
-            // pre-overwrite contents — never garbage.
-            let clean_expect = {
-                let mut c = pipeline();
-                crash_workload(&mut c)
-            };
-            let old0 = text_block(0);
-            for (off, data) in &clean_expect {
-                let got = p.read(60, *off, 4096).expect("post-recovery read");
-                if *off == 0 {
-                    assert!(
-                        got == *data || got == old0 || got == vec![0u8; 4096],
-                        "cut {cut}: block 0 must be v2, v1 or unwritten"
-                    );
-                } else {
-                    assert!(
-                        got == *data || got == vec![0u8; 4096],
-                        "cut {cut}: offset {off} must be its data or unwritten"
-                    );
-                }
-            }
-            // The store accepts writes again.
-            p.write(70, 80 * 4096, &text_block(3)).unwrap();
-            p.flush_all(80).unwrap();
-        }
+        let spec = StoreSpec { capacity_bytes: 4 << 20, ..StoreSpec::default() };
+        let report = cut_sweep(&spec, &crash_ops()).expect("sweepable log");
+        assert!(report.cut_points > 8, "workload too small to exercise cuts: {report:?}");
+        assert!(report.passed(), "{:?}", report.first_failure);
+        assert_eq!((report.lost_blocks, report.payload_mismatches), (0, 0));
     }
 
     #[test]
     fn recover_on_healthy_store_rebuilds_identical_state() {
         let mut p = pipeline();
-        let expect = crash_workload(&mut p);
+        let expect = drive(&mut p, crash_ops());
         let report = p.recover().expect("recovery on a healthy store");
         assert_eq!(report.payload_mismatches, 0);
         assert_eq!(u64::from(report.torn_tail), 0);
@@ -2749,7 +2624,7 @@ mod tests {
     #[test]
     fn torn_journal_tail_drops_only_the_torn_record() {
         let mut p = pipeline();
-        let expect = crash_workload(&mut p);
+        let expect = drive(&mut p, crash_ops());
         // Tear mid-way through the final record (as a cut inside a real
         // journal page program would).
         p.truncate_journal_bytes(p.stats().journal_bytes as usize - 10);
@@ -2857,7 +2732,7 @@ mod tests {
     fn journal_grows_one_record_per_committed_run() {
         let mut p = pipeline();
         assert_eq!(p.stats().journal_records, 0);
-        crash_workload(&mut p);
+        drive(&mut p, crash_ops());
         assert!(p.stats().journal_records >= 8, "records {}", p.stats().journal_records);
         assert_eq!(
             p.stats().journal_bytes as usize,
@@ -3074,26 +2949,23 @@ mod tests {
         )
     }
 
-    /// Write `runs` four-block runs of 4-ary content at an 8-block
-    /// stride, one run per heat extent, and return the expected bytes.
-    fn heat_workload(p: &mut EdcPipeline, runs: u64) -> Vec<(u64, Vec<u8>)> {
-        let mut now = 0u64;
-        let mut stored = Vec::new();
-        for i in 0..runs {
-            let data: Vec<u8> =
-                (0..4).flat_map(|b| lowent_block(i * 16 + b)).collect();
-            p.write(now, i * 8 * 4096, &data).unwrap();
-            now += 1_000_000;
-            stored.push((i * 8 * 4096, data));
-        }
-        p.flush_all(now).unwrap();
-        stored
+    /// `runs` four-block runs of 4-ary content at an 8-block stride, one
+    /// run per heat extent, then a flush.
+    fn heat_ops(runs: u64) -> Vec<(u64, Op)> {
+        let mut ops: Vec<(u64, Op)> = (0..runs)
+            .map(|i| {
+                let data = (0..4).flat_map(|b| lowent_block(i * 16 + b)).collect();
+                (i * 1_000_000, Op::Write { offset: i * 8 * 4096, data })
+            })
+            .collect();
+        ops.push((runs * 1_000_000, Op::Flush));
+        ops
     }
 
     #[test]
     fn cold_runs_recompress_to_stronger_codec() {
         let mut p = heat_pipeline(1.1);
-        let stored = heat_workload(&mut p, 8);
+        let stored = drive(&mut p, heat_ops(8));
         let physical_before = p.stats().physical_written;
         let live_before = p.slots.live_bytes();
         // 200 s of silence: every extent decays far below the cold
@@ -3136,7 +3008,7 @@ mod tests {
     #[test]
     fn second_pass_finds_nothing_left_to_do() {
         let mut p = heat_pipeline(1.1);
-        heat_workload(&mut p, 6);
+        drive(&mut p, heat_ops(6));
         let now = 200_000_000_000;
         let first = p.recompress_pass(now, CodecId::Deflate, usize::MAX).unwrap();
         assert!(first.recompressed > 0);
@@ -3148,7 +3020,7 @@ mod tests {
     #[test]
     fn rewrite_budget_bounds_work_per_pass() {
         let mut p = heat_pipeline(1.1);
-        heat_workload(&mut p, 8);
+        drive(&mut p, heat_ops(8));
         let report = p.recompress_pass(200_000_000_000, CodecId::Deflate, 2).unwrap();
         assert!(report.recompressed <= 2, "budget exceeded: {report:?}");
         assert_eq!(report.recompressed, 2, "budget not used: {report:?}");
@@ -3159,7 +3031,7 @@ mod tests {
         // A generous demote threshold makes every compressed run "not
         // worth it" once hot, so the demotion path fires deterministically.
         let mut p = heat_pipeline(1_000.0);
-        let stored = heat_workload(&mut p, 4);
+        let stored = drive(&mut p, heat_ops(4));
         // Hammer run 0 with reads at the pass timestamp: its extent is
         // hot, everything else has cooled.
         let now = 200_000_000_000;
@@ -3283,31 +3155,23 @@ mod tests {
 
     #[test]
     fn power_cut_mid_recompression_loses_no_data() {
-        // Cut at each of the first programs of the recompression pass:
-        // whatever the journal holds at the cut — old record or new —
-        // recovery must serve every original byte.
-        for cut in 0..8u64 {
-            let mut p = heat_pipeline(1.1);
-            let stored = heat_workload(&mut p, 4);
-            p.set_fault_plan(FaultPlan {
-                power_cut_after_programs: Some(cut),
-                ..FaultPlan::none()
-            });
-            match p.recompress_pass(200_000_000_000, CodecId::Deflate, usize::MAX) {
-                Ok(report) => assert!(report.recompressed > 0, "cut {cut} did nothing"),
-                Err(EdcError::Write(WriteError::PowerCut { .. })) => {}
-                Err(other) => panic!("cut {cut}: unexpected error {other:?}"),
-            }
-            let report = p.recover().unwrap();
-            assert_eq!(report.payload_mismatches, 0, "cut {cut}");
-            for (i, (off, data)) in stored.iter().enumerate() {
-                assert_eq!(
-                    &p.read(900 + i as u64, *off, data.len() as u64).unwrap(),
-                    data,
-                    "cut {cut}: run {i} lost"
-                );
-            }
-        }
+        // The heat workload, then a pass after 200 s of silence: whatever
+        // the journal holds at a cut — old record or new — every block
+        // must come back exactly.
+        let mut ops = heat_ops(4);
+        ops.push((
+            200_000_000_000,
+            Op::RecompressPass { target: CodecId::Deflate, max_rewrites: u64::MAX },
+        ));
+        let spec = StoreSpec { capacity_bytes: 8 << 20, fast_ladder: true, ..StoreSpec::default() };
+        let report = cut_sweep(&spec, &ops).expect("sweepable log");
+        assert!(
+            matches!(report.clean[5], OpOutput::Recompress(ref r) if r.recompressed > 0),
+            "the pass must recompress: {:?}",
+            report.clean[5]
+        );
+        assert!(report.passed(), "{:?}", report.first_failure);
+        assert_eq!((report.lost_blocks, report.payload_mismatches), (0, 0));
     }
 
     #[test]

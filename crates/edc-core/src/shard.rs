@@ -94,6 +94,12 @@ pub struct ShardedPipeline {
     extent_blocks: u64,
 }
 
+/// Shard owning logical `block` when `shards` shards stripe the space in
+/// extents of `extent_blocks` blocks.
+pub(crate) fn route(block: u64, extent_blocks: u64, shards: usize) -> usize {
+    ((block / extent_blocks) % shards as u64) as usize
+}
+
 impl ShardedPipeline {
     /// Create a sharded store over `capacity_bytes` of device space,
     /// split evenly across shards. Each shard's journal is stamped with
@@ -145,7 +151,7 @@ impl ShardedPipeline {
 
     /// Shard owning logical `block`.
     fn shard_of_block(&self, block: u64) -> usize {
-        ((block / self.extent_blocks) % self.shards.len() as u64) as usize
+        route(block, self.extent_blocks, self.shards.len())
     }
 
     /// Shard owning the whole byte range `[offset, offset + len)`, or

@@ -115,20 +115,7 @@ pub struct Ftl {
     /// advance it, inserts below it pull it back — amortized O(1) victim
     /// selection.
     min_bucket: usize,
-    /// Logical sectors relocated by GC migration since the last
-    /// [`Ftl::take_relocations`] drain. This is the cooperation hook for
-    /// the heat-aware recompression layer: relocated LSNs are exactly the
-    /// data GC already paid to move, so the layer above can fold them into
-    /// its recompression candidate set (and invalidate any cached
-    /// translations) without scanning the device. Bounded by
-    /// [`RELOCATION_LOG_CAP`]; overflow drops further entries (the log is
-    /// a best-effort hint, never a correctness dependency).
-    relocated: Vec<u64>,
 }
-
-/// Upper bound on the undrained GC relocation log. A caller that never
-/// drains must not turn a GC-heavy workload into unbounded memory.
-const RELOCATION_LOG_CAP: usize = 1 << 20;
 
 /// One violated FTL invariant, reported by [`Ftl::verify_integrity`]
 /// instead of a panic so callers (tests, the fault campaign) can treat a
@@ -229,7 +216,6 @@ impl Ftl {
             sealed: vec![false; blocks as usize],
             pinned: vec![false; blocks as usize],
             min_bucket: sectors_per_block as usize + 1,
-            relocated: Vec::new(),
         }
     }
 
@@ -241,20 +227,6 @@ impl Ftl {
     /// Injected-fault counters.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.stats()
-    }
-
-    /// Drain the log of logical sectors GC has relocated since the last
-    /// drain, in migration order. Feed these to the heat-aware
-    /// recompression layer: they are blocks GC already rewrote, so
-    /// re-encoding them costs no extra device moves, and any cached
-    /// physical translations for them are now stale.
-    pub fn take_relocations(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.relocated)
-    }
-
-    /// Number of undrained GC relocations (saturates at the internal cap).
-    pub fn relocation_backlog(&self) -> usize {
-        self.relocated.len()
     }
 
     /// The live fault-decision stream (the SSD front-end shares it so
@@ -537,9 +509,6 @@ impl Ftl {
                 self.valid[victim as usize] -= 1;
                 self.stats.migrated_sectors += 1;
                 charge.migrated_sectors += 1;
-                if self.relocated.len() < RELOCATION_LOG_CAP {
-                    self.relocated.push(u64::from(owner));
-                }
             }
             debug_assert_eq!(self.valid[victim as usize], 0);
             if self.faults.erase_fault() {
@@ -772,48 +741,6 @@ mod tests {
         assert!(ftl.free_block_count() >= cfg.gc_low_watermark as usize);
         // Everything still readable.
         assert_eq!(ftl.read(0, cap), cap);
-    }
-
-    #[test]
-    fn gc_relocations_are_logged_and_drained() {
-        let cfg = small_cfg();
-        let mut ftl = Ftl::new(&cfg);
-        let cap = ftl.logical_sectors();
-        // Random overwrites leave valid sectors inside GC victims, forcing
-        // migrations (sequential whole-device rewrites would not).
-        let mut x = 0x9e37_79b9u64;
-        for _ in 0..20_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            ftl.write(x % cap, 1);
-        }
-        let stats = ftl.stats();
-        assert!(stats.migrated_sectors > 0, "workload must force GC migration");
-        assert_eq!(
-            ftl.relocation_backlog() as u64,
-            stats.migrated_sectors,
-            "every migrated sector appears in the relocation log"
-        );
-        let relocated = ftl.take_relocations();
-        assert_eq!(relocated.len() as u64, stats.migrated_sectors);
-        // Every logged LSN is a real, still-mapped logical sector.
-        for &lsn in &relocated {
-            assert!(lsn < cap);
-            assert!(ftl.is_mapped(lsn), "GC only migrates valid data");
-        }
-        // Drain resets the log; further GC refills it.
-        assert_eq!(ftl.take_relocations(), Vec::<u64>::new());
-        for _ in 0..20_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            ftl.write(x % cap, 1);
-        }
-        let newly_migrated = ftl.stats().migrated_sectors - stats.migrated_sectors;
-        assert!(newly_migrated > 0);
-        assert_eq!(ftl.relocation_backlog() as u64, newly_migrated);
-        ftl.verify_integrity().expect("relocation logging must not disturb mapping state");
     }
 
     #[test]

@@ -128,13 +128,6 @@ impl SsdDevice {
         self.ftl.stats()
     }
 
-    /// Drain the logical sectors GC relocated since the last drain — the
-    /// hook a heat-aware recompression layer uses to piggyback re-encoding
-    /// on moves GC already paid for.
-    pub fn take_relocations(&mut self) -> Vec<u64> {
-        self.ftl.take_relocations()
-    }
-
     /// Per-block erase counts.
     pub fn erase_counts(&self) -> &[u32] {
         self.ftl.erase_counts()

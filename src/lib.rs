@@ -59,7 +59,8 @@ pub use edc_trace as trace;
 /// configuration, the unified error, codec identifiers, fault plans, the
 /// device configuration, and the op-dispatch / record-replay surface
 /// ([`Op`](edc_core::store::Op), [`Store`](edc_core::store::Store),
-/// [`Recorder`](edc_core::record::Recorder)).
+/// [`Recorder`](edc_core::record::Recorder)) with its crash oracle
+/// ([`cut_sweep`](edc_core::crash::cut_sweep)).
 ///
 /// ```
 /// use edc::prelude::*;
@@ -77,8 +78,8 @@ pub mod prelude {
     pub use edc_core::ring::{Ring, RingConfig, RingError, RingStats, Ticket};
     pub use edc_core::shard::{ShardConfig, ShardedPipeline};
     pub use edc_core::{
-        Clock, ManualClock, Op, OpOutput, Recorder, ReplayRefusal, ReplayReport, Replayer,
-        Store, StoreSpec, TieredSeries, WallClock,
+        cut_sweep, Clock, CutReport, ManualClock, Op, OpOutput, Recorder, ReplayRefusal,
+        ReplayReport, Replayer, Store, StoreSpec, TieredSeries, WallClock,
     };
     pub use edc_flash::{FaultPlan, SsdConfig};
 }
